@@ -276,7 +276,7 @@ int main() {
   std::printf("  %-8s %14s\n", "stripes", "ms/frame");
   std::vector<StripePoint> stripe_points;
   {
-    runtime::ThreadPool pool(8, 16);
+    runtime::ShardPool pool({.workers = 8, .queue_capacity = 16, .pin_threads = false});
     for (const std::size_t stripes : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                                       std::size_t{8}}) {
       const auto t0 = Clock::now();

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/streaming_engine.hpp"
+#include "image/metrics.hpp"
+
 namespace swc::core {
 
 namespace {
@@ -66,6 +69,17 @@ int RateController::observe(double achieved) {
   threshold_ = std::clamp(threshold_ + want * step_, config_.min_threshold,
                           config_.max_threshold);
   return threshold_;
+}
+
+double achieved_rate(RateControlMode mode, const image::ImageU8& input,
+                     const CompressedRunResult& result) {
+  if (mode == RateControlMode::BitsPerPixel) {
+    const auto& ids = EngineMetricIds::get();
+    const auto bits =
+        result.stats.metrics.sum(ids.payload_bits) + result.stats.metrics.sum(ids.management_bits);
+    return static_cast<double>(bits) / static_cast<double>(input.size());
+  }
+  return image::mse(input, result.reconstructed);
 }
 
 }  // namespace swc::core

@@ -22,7 +22,11 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "image/image.hpp"
+
 namespace swc::core {
+
+struct CompressedRunResult;
 
 enum class RateControlMode : std::uint8_t {
   BitsPerPixel,  // achieved = compressed bits / pixels (lower T => more bits)
@@ -64,5 +68,11 @@ class RateController {
   bool converged_ = false;
   std::size_t observations_ = 0;
 };
+
+// The value a controller in `mode` observes for one processed unit: the
+// compressed bits (payload + management) per input pixel, or the MSE of the
+// reconstruction against the input.
+[[nodiscard]] double achieved_rate(RateControlMode mode, const image::ImageU8& input,
+                                   const CompressedRunResult& result);
 
 }  // namespace swc::core

@@ -26,16 +26,7 @@ void check_frame(const StreamContext& ctx, const image::ImageU8& frame) {
 }  // namespace
 
 FrameServer::FrameServer(Options options)
-    : pool_([&] {
-        ShardPoolOptions pool_options;
-        pool_options.workers = options.workers;
-        pool_options.queue_capacity = options.queue_capacity;
-        pool_options.shards = options.shards;
-        pool_options.pin_threads = options.pin_threads;
-        pool_options.arena = options.arena;
-        return pool_options;
-      }()),
-      start_(std::chrono::steady_clock::now()) {}
+    : pool_(std::move(options)), start_(std::chrono::steady_clock::now()) {}
 
 FrameServer::~FrameServer() { pool_.shutdown(); }
 
@@ -198,9 +189,6 @@ void FrameServer::wait_idle() { pool_.wait_idle(); }
 RuntimeStatsSnapshot FrameServer::stats() const {
   RuntimeStatsSnapshot snap;
   snap.workers = pool_.worker_count();
-  snap.queue_capacity = pool_.queue_capacity();
-  snap.queue_depth = pool_.queue_depth();
-  snap.queue_high_water = pool_.queue_high_water();
   snap.worker_utilization = pool_.worker_utilization();
   snap.shards = pool_.shard_stats();
   snap.wall_seconds =
@@ -222,6 +210,9 @@ RuntimeStatsSnapshot FrameServer::stats() const {
   // with every snapshot (and through benchx's snapshot emitter).
   const auto& rids = RuntimeMetricIds::get();
   for (const auto& sh : snap.shards) {
+    snap.queue_capacity += sh.queue_capacity;
+    snap.queue_depth += sh.queue_depth;
+    snap.queue_high_water = std::max(snap.queue_high_water, sh.queue_high_water);
     snap.metrics.add(rids.steals, sh.steals);
     snap.metrics.add(rids.parks, sh.parks);
     snap.metrics.note_max(rids.queue_depth, sh.queue_depth);

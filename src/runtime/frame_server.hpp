@@ -3,11 +3,11 @@
 //
 // Callers open independent streams (each with its own engine kind, geometry,
 // codec threshold, and accumulated stats) and submit frames. Frames are
-// dispatched to a fixed worker pool over a bounded queue: SubmitPolicy::Block
-// applies backpressure to the producer, SubmitPolicy::Reject fails fast and
-// counts the drop per stream. Completed frames optionally invoke a caller
-// callback (from the worker thread) with the reconstructed image, codec run
-// stats, and measured latency.
+// dispatched to a ShardPool with a per-shard pending-frame budget:
+// SubmitPolicy::Block applies backpressure to the producer,
+// SubmitPolicy::Reject fails fast and counts the drop per stream. Completed
+// frames optionally invoke a caller callback (from the worker thread) with
+// the reconstructed image, codec run stats, and measured latency.
 //
 // Dispatch is sharded (see runtime/shard_pool.hpp): every stream gets a
 // sticky home shard at open_stream (id-hashed, or StreamConfig::shard_hint
@@ -37,7 +37,6 @@
 #include "runtime/stats.hpp"
 #include "runtime/stream_context.hpp"
 #include "runtime/stripe.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace swc::runtime {
 
@@ -49,16 +48,9 @@ struct FrameResult {
   std::uint64_t latency_ns = 0;  // submit-to-completion, includes queueing
 };
 
-struct FrameServerOptions {
-  std::size_t workers = 4;
-  std::size_t queue_capacity = 64;  // per-shard pending-frame budget
-  // Sharded-runtime knobs (defaults preserve existing positional
-  // initializers: shards=0 auto-sizes to min(NUMA nodes, workers), which is
-  // 1 shard — the pre-shard behavior — on single-node machines).
-  std::size_t shards = 0;
-  bool pin_threads = true;
-  FrameArenaOptions arena;
-};
+// The server's options are its pool's: shards = 0 auto-sizes to
+// min(NUMA nodes, workers), which is 1 shard on single-node machines.
+using FrameServerOptions = ShardPoolOptions;
 
 // Why a frame was not accepted. Distinguishing transient overload from
 // terminal shutdown lets a caller (the serve layer's session manager) map a
@@ -143,14 +135,9 @@ class FrameServer {
   [[nodiscard]] std::size_t worker_count() const noexcept { return pool_.worker_count(); }
   [[nodiscard]] std::size_t shard_count() const noexcept { return pool_.shard_count(); }
   // Lightweight queue pressure probes (stats() builds a full snapshot and
-  // is too heavy to poll per frame). The unqualified forms aggregate over
-  // shards; admission decisions about ONE stream must use the per-stream
-  // forms, which look at that stream's home shard only.
-  [[nodiscard]] std::size_t queue_depth() const { return pool_.queue_depth(); }
-  [[nodiscard]] std::size_t queue_capacity() const noexcept { return pool_.queue_capacity(); }
-  // Pending frames on / budget of the stream's home shard. Unknown or
-  // closed streams read as depth 0 (a subsequent submit reports
-  // UnknownStream; the probe itself never throws).
+  // is too heavy to poll per frame): pending frames on / budget of the
+  // stream's home shard. Unknown or closed streams read as depth 0 (a
+  // subsequent submit reports UnknownStream; the probe itself never throws).
   [[nodiscard]] std::size_t queue_depth_for(std::uint32_t stream_id) const;
   [[nodiscard]] std::size_t queue_capacity_for(std::uint32_t /*stream_id*/) const noexcept {
     return pool_.queue_capacity_per_shard();

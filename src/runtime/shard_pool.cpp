@@ -1,6 +1,7 @@
 #include "runtime/shard_pool.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace swc::runtime {
 namespace {
@@ -16,6 +17,9 @@ std::uint64_t now_ns() {
 
 ShardPool::ShardPool(ShardPoolOptions options) : options_([&] {
   ShardPoolOptions o = options;
+  if (o.queue_capacity == 0) {
+    throw std::invalid_argument("ShardPool: queue_capacity must be at least 1");
+  }
   if (o.workers == 0) o.workers = 1;
   if (o.shards == 0) {
     o.shards = std::min(Topology::system().node_count(), o.workers);
@@ -313,28 +317,6 @@ void ShardPool::worker_loop(std::size_t shard_index, std::size_t worker_slot) {
     }
     run_token(std::move(token), worker_slot);
   }
-}
-
-std::size_t ShardPool::queue_depth() const {
-  std::size_t depth = 0;
-  for (const auto& shard : shards_) {
-    swc::MutexLock lock(shard->mutex);
-    depth += shard->pending;
-  }
-  return depth;
-}
-
-std::size_t ShardPool::queue_capacity() const noexcept {
-  return options_.queue_capacity * shards_.size();
-}
-
-std::size_t ShardPool::queue_high_water() const {
-  std::size_t high = 0;
-  for (const auto& shard : shards_) {
-    swc::MutexLock lock(shard->mutex);
-    high = std::max(high, shard->pending_high_water);
-  }
-  return high;
 }
 
 std::size_t ShardPool::queue_depth(std::size_t shard) const {

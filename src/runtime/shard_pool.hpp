@@ -1,11 +1,11 @@
 #pragma once
-// ShardPool: the sharded, NUMA-aware successor to ThreadPool.
+// ShardPool: the runtime's one worker pool, sharded and NUMA-aware.
 //
-// Instead of one global MPMC queue feeding every worker, the pool is split
-// into K shards. Each shard owns a run queue, a slice of the workers
-// (optionally pinned to one NUMA node's CPUs), a pending-frame budget that
-// implements Block/Reject backpressure, and a FrameArena for node-local
-// payload/scratch recycling. K defaults to min(NUMA nodes, workers).
+// The pool is split into K shards. Each shard owns a run queue, a slice of
+// the workers (optionally pinned to one NUMA node's CPUs), a pending-frame
+// budget that implements Block/Reject backpressure, and a FrameArena for
+// node-local payload/scratch recycling. K defaults to min(NUMA nodes,
+// workers).
 //
 // Ordering: streams are serialized through *strands*. A strand is an inbox
 // of jobs plus an "active" flag; at most one runnable token per strand
@@ -23,10 +23,9 @@
 // events are counted per shard for the runtime snapshot.
 //
 // Backpressure: the budget counts frames admitted to a shard but not yet
-// started. Block waits for budget, Reject fails fast with QueueFull — the
-// same SubmitPolicy/SubmitOutcome contract as ThreadPool, so a 1-shard
-// pool is behaviorally identical to the old global queue (differential-
-// tested in tests/runtime/shard_pool_test.cpp).
+// started. Block waits for budget, Reject fails fast with QueueFull. A
+// 1-shard pool reproduces a direct engine run bit for bit (tested against
+// CompressedEngine in tests/runtime/shard_pool_test.cpp).
 //
 // Shutdown: after close, queued tokens still drain — a token that runs
 // under a closed pool drains its strand's whole inbox in place instead of
@@ -46,17 +45,29 @@
 #include "core/sync.hpp"
 #include "core/thread_annotations.hpp"
 #include "runtime/frame_arena.hpp"
-#include "runtime/thread_pool.hpp"  // SubmitPolicy / SubmitOutcome contract
 #include "runtime/topology.hpp"
 
 namespace swc::runtime {
 
+enum class SubmitPolicy : std::uint8_t {
+  Block,   // wait for queue space (backpressure)
+  Reject,  // fail fast when the queue is full
+};
+
+// Why a submission was (not) accepted, for callers that must report the
+// cause upstream (the serve layer maps these onto wire-level responses).
+enum class SubmitOutcome : std::uint8_t {
+  Accepted,   // job enqueued
+  QueueFull,  // Reject policy and the queue was at capacity
+  ShutDown,   // pool is shutting down; nothing will be accepted again
+};
+
 struct ShardPoolOptions {
-  std::size_t workers = 4;         // total across shards
-  std::size_t queue_capacity = 64;  // per-shard pending-frame budget
+  std::size_t workers = 4;          // total across shards; 0 is raised to 1
+  std::size_t queue_capacity = 64;  // per-shard pending-frame budget; must be > 0
   std::size_t shards = 0;           // 0 = auto: min(NUMA nodes, workers)
   bool pin_threads = true;          // best-effort pthread_setaffinity_np
-  FrameArenaOptions arena;          // per-shard arena configuration
+  FrameArenaOptions arena{};        // per-shard arena configuration
 };
 
 // Point-in-time view of one shard, folded into RuntimeStatsSnapshot.
@@ -96,6 +107,8 @@ class ShardPool {
     bool active_ SWC_GUARDED_BY(mutex_) = false;  // a token is queued or running
   };
 
+  // Throws std::invalid_argument when options.queue_capacity is 0 (no
+  // submission could ever be admitted).
   explicit ShardPool(ShardPoolOptions options);
   ~ShardPool();
 
@@ -132,14 +145,8 @@ class ShardPool {
   [[nodiscard]] std::size_t worker_count() const noexcept { return threads_.size(); }
   [[nodiscard]] std::size_t shard_count() const noexcept { return shards_.size(); }
 
-  // Aggregate queue probes (ThreadPool-compatible): depth/capacity sum over
-  // shards, high water is the worst single shard.
-  [[nodiscard]] std::size_t queue_depth() const;
-  [[nodiscard]] std::size_t queue_capacity() const noexcept;
-  [[nodiscard]] std::size_t queue_high_water() const;
-
   // Per-shard probes (the serve layer's admission check is per stream, so
-  // it must look at the stream's own shard, not the pool aggregate).
+  // it looks at the stream's own shard).
   [[nodiscard]] std::size_t queue_depth(std::size_t shard) const;
   [[nodiscard]] std::size_t queue_capacity_per_shard() const noexcept {
     return options_.queue_capacity;

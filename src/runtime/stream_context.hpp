@@ -17,7 +17,6 @@
 #include "core/thread_annotations.hpp"
 #include "core/streaming_engine.hpp"
 #include "image/image.hpp"
-#include "image/metrics.hpp"
 #include "runtime/stats.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -38,11 +37,11 @@ struct StreamConfig {
   // Optional closed-loop rate control (compressed streams only): the stream
   // adapts the codec threshold frame to frame toward the configured
   // bits-per-pixel or MSE target instead of using engine.codec.threshold.
-  std::optional<core::RateControlConfig> rate;
+  std::optional<core::RateControlConfig> rate{};
   // Sticky shard placement override. Streams hash onto a shard by id when
   // unset; the serve layer sets this from the connection id so one
   // session's streams land on one shard (shared arena, shared cache).
-  std::optional<std::size_t> shard_hint;
+  std::optional<std::size_t> shard_hint{};
 };
 
 class StreamContext {
@@ -137,11 +136,6 @@ class StreamContext {
     return frames_submitted_++;
   }
 
-  void note_rejected() SWC_EXCLUDES(mutex_) {
-    swc::MutexLock lock(mutex_);
-    ++frames_rejected_;
-  }
-
   // Converts an optimistic note_submitted() into a rejection when the queue
   // refused the frame.
   void note_submit_failed() SWC_EXCLUDES(mutex_) {
@@ -181,15 +175,7 @@ class StreamContext {
  private:
   void observe_rate(const image::ImageU8& frame, const core::CompressedRunResult& result) const
       SWC_EXCLUDES(rate_mutex_) {
-    const auto& ids = core::EngineMetricIds::get();
-    double achieved = 0.0;
-    if (config_.rate->mode == core::RateControlMode::BitsPerPixel) {
-      const auto bits = result.stats.metrics.sum(ids.payload_bits) +
-                        result.stats.metrics.sum(ids.management_bits);
-      achieved = static_cast<double>(bits) / static_cast<double>(frame.size());
-    } else {
-      achieved = image::mse(frame, result.reconstructed);
-    }
+    const double achieved = core::achieved_rate(config_.rate->mode, frame, result);
     swc::MutexLock lock(rate_mutex_);
     rate_threshold_.store(controller_->observe(achieved), std::memory_order_relaxed);
   }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "image/metrics.hpp"
-
 namespace swc::runtime {
 
 std::vector<Stripe> plan_stripes(const core::SlidingWindowSpec& spec, std::size_t max_stripes) {
@@ -75,7 +73,6 @@ core::CompressedRunResult run_compressed_rate_controlled(const core::EngineConfi
   config.validate();
   const auto stripes = plan_stripes(config.spec, max_stripes);
   std::vector<core::CompressedRunResult> parts(stripes.size());
-  const auto& ids = core::EngineMetricIds::get();
   for (std::size_t i = 0; i < stripes.size(); ++i) {
     const Stripe& s = stripes[i];
     core::EngineConfig local = config;
@@ -87,16 +84,7 @@ core::CompressedRunResult run_compressed_rate_controlled(const core::EngineConfi
     codec.threshold = controller.threshold();
     parts[i] = engine.run_with_codec(piece, codec,
                                      [](std::size_t, std::size_t, const core::WindowView&) {});
-
-    double achieved = 0.0;
-    if (controller.config().mode == core::RateControlMode::BitsPerPixel) {
-      const auto bits = parts[i].stats.metrics.sum(ids.payload_bits) +
-                        parts[i].stats.metrics.sum(ids.management_bits);
-      achieved = static_cast<double>(bits) / static_cast<double>(piece.size());
-    } else {
-      achieved = image::mse(piece, parts[i].reconstructed);
-    }
-    (void)controller.observe(achieved);
+    (void)controller.observe(core::achieved_rate(controller.config().mode, piece, parts[i]));
   }
   return merge_stripes(config.spec, stripes, std::move(parts));
 }

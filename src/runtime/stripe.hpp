@@ -37,7 +37,7 @@
 #include "core/sync.hpp"
 #include "core/thread_annotations.hpp"
 #include "image/image.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/shard_pool.hpp"
 
 namespace swc::runtime {
 
@@ -76,10 +76,8 @@ namespace detail {
 // The claim/progress state is heap-shared because a queued helper may only
 // start after the caller has already drained everything and returned; it
 // still dereferences the state to discover there is no work left.
-// Generic over the pool type: anything with submit(Job, SubmitPolicy) and
-// worker_count() — ThreadPool and ShardPool both qualify.
-template <typename Pool, typename Fn>
-void for_each_stripe(std::size_t count, Pool* pool, Fn&& fn) {
+template <typename Fn>
+void for_each_stripe(std::size_t count, ShardPool* pool, Fn&& fn) {
   struct Progress {
     std::atomic<std::size_t> next{0};
     swc::Mutex mutex;
@@ -123,11 +121,11 @@ void for_each_stripe(std::size_t count, Pool* pool, Fn&& fn) {
 // must tolerate concurrent calls for distinct output rows (writes to
 // disjoint rows of an output plane are safe). Pass pool = nullptr for a
 // sequential striped run (same numerics, no threads).
-template <typename Pool, typename Sink>
+template <typename Sink>
 [[nodiscard]] core::CompressedRunResult run_compressed_striped(const core::EngineConfig& config,
                                                                const image::ImageU8& img,
                                                                std::size_t max_stripes,
-                                                               Pool* pool, Sink&& sink) {
+                                                               ShardPool* pool, Sink&& sink) {
   config.validate();
   const auto stripes = plan_stripes(config.spec, max_stripes);
   std::vector<core::CompressedRunResult> parts(stripes.size());
@@ -146,29 +144,11 @@ template <typename Pool, typename Sink>
 }
 
 // No-sink convenience: the codec roundtrip view of a striped run.
-template <typename Pool>
-[[nodiscard]] core::CompressedRunResult run_compressed_striped(const core::EngineConfig& config,
-                                                               const image::ImageU8& img,
-                                                               std::size_t max_stripes, Pool* pool) {
-  return run_compressed_striped(config, img, max_stripes, pool,
-                                [](std::size_t, std::size_t, const core::WindowView&) {});
-}
-
-// Literal-nullptr overloads (a bare `nullptr` cannot deduce Pool): run the
-// striped plan sequentially on the caller.
-template <typename Sink>
-[[nodiscard]] core::CompressedRunResult run_compressed_striped(const core::EngineConfig& config,
-                                                               const image::ImageU8& img,
-                                                               std::size_t max_stripes,
-                                                               std::nullptr_t, Sink&& sink) {
-  return run_compressed_striped(config, img, max_stripes, static_cast<ThreadPool*>(nullptr),
-                                std::forward<Sink>(sink));
-}
-
 [[nodiscard]] inline core::CompressedRunResult run_compressed_striped(
     const core::EngineConfig& config, const image::ImageU8& img, std::size_t max_stripes,
-    std::nullptr_t) {
-  return run_compressed_striped(config, img, max_stripes, static_cast<ThreadPool*>(nullptr));
+    ShardPool* pool) {
+  return run_compressed_striped(config, img, max_stripes, pool,
+                                [](std::size_t, std::size_t, const core::WindowView&) {});
 }
 
 // Closed-loop striped run: stripes are processed sequentially (top to

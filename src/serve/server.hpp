@@ -34,7 +34,7 @@ struct ServerOptions {
   bool arena = true;  // pooled frame/scratch buffers
   // Plain-text scrape listener (GET /healthz, GET /metrics) on the same
   // event loop. nullopt = disabled; 0 = ephemeral, read back via http_port().
-  std::optional<std::uint16_t> http_port;
+  std::optional<std::uint16_t> http_port{};
 };
 
 class Server {

@@ -68,7 +68,7 @@ struct ServeLimits {
   // Server-side rate-control preset (run_serve --rate=bpp:<t>|mse:<t>).
   // Applied to sessions whose HELLO carries RateMode::None; a client that
   // negotiates its own rate target always wins over the preset.
-  std::optional<core::RateControlConfig> default_rate;
+  std::optional<core::RateControlConfig> default_rate{};
 };
 
 // Process-global serve.* metric names (same idiom as core::EngineMetricIds).

@@ -79,7 +79,12 @@ int main(int argc, char** argv) {
   ServerOptions options;
   options.port = static_cast<std::uint16_t>(arg_value(argc, argv, "--port", 0));
   options.workers = static_cast<std::size_t>(arg_value(argc, argv, "--workers", 4));
-  options.queue_capacity = static_cast<std::size_t>(arg_value(argc, argv, "--queue", 64));
+  const long queue = arg_value(argc, argv, "--queue", 64);
+  if (queue < 1) {
+    std::fprintf(stderr, "run_serve: --queue must be at least 1 (got %ld)\n", queue);
+    return 2;
+  }
+  options.queue_capacity = static_cast<std::size_t>(queue);
   options.shards = static_cast<std::size_t>(arg_value(argc, argv, "--shards", 0));
   options.pin_threads = arg_value(argc, argv, "--pin-threads", 1) != 0;
   options.arena = arg_value(argc, argv, "--arena", 1) != 0;

@@ -1,7 +1,8 @@
-// Sharded-runtime suite (ctest -L shard): strand ordering, work stealing
-// under skew, arena recycling across stream lifetimes, the 1-shard
-// differential against a direct engine run, and a TSan-targeted stress
-// mirroring runtime_stress. CMake adds dedicated ASan/TSan entries running
+// Sharded-runtime suite (ctest -L shard): the submission contracts
+// (Block/Reject backpressure, completion barrier, shutdown), strand
+// ordering, work stealing under skew, arena recycling across stream
+// lifetimes, the 1-shard comparison against a direct engine run, and a
+// TSan-targeted stress mirroring runtime_stress. CMake adds dedicated ASan/TSan entries running
 // this suite when the build is configured with -DSWC_SANITIZE.
 
 #include <gtest/gtest.h>
@@ -9,7 +10,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <future>
+#include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -33,6 +37,116 @@ std::uint64_t total_steals(const ShardPool& pool) {
   std::uint64_t steals = 0;
   for (const auto& s : pool.shard_stats()) steals += s.steals;
   return steals;
+}
+
+// Parks the pool's only worker on a job that runs until the returned
+// promise is fulfilled; returns once the job has started (and so no longer
+// holds budget).
+std::promise<void> occupy_only_worker(ShardPool& pool) {
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  auto started = std::make_shared<std::atomic<bool>>(false);
+  EXPECT_TRUE(pool.submit([started, opened] {
+    *started = true;
+    opened.wait();
+  }));
+  while (!*started) std::this_thread::yield();
+  return gate;
+}
+
+// Deterministic backpressure: the only worker is parked on a gate job and
+// the shard's budget of 2 is filled, so a third Reject submission must fail
+// at once with QueueFull.
+TEST(ShardPool, RejectPolicyFailsFastWhenSaturated) {
+  ShardPool pool({.workers = 1, .queue_capacity = 2, .shards = 1, .pin_threads = false});
+  auto gate = occupy_only_worker(pool);
+
+  ASSERT_EQ(pool.submit_outcome([] {}, SubmitPolicy::Reject), SubmitOutcome::Accepted);
+  ASSERT_EQ(pool.submit_outcome([] {}, SubmitPolicy::Reject), SubmitOutcome::Accepted);
+  EXPECT_EQ(pool.submit_outcome([] {}, SubmitPolicy::Reject), SubmitOutcome::QueueFull);
+
+  gate.set_value();
+  pool.wait_idle();
+  // After draining, submissions are accepted again.
+  EXPECT_EQ(pool.submit_outcome([] {}, SubmitPolicy::Reject), SubmitOutcome::Accepted);
+  pool.wait_idle();
+}
+
+TEST(ShardPool, BlockPolicyWaitsForBudget) {
+  ShardPool pool({.workers = 1, .queue_capacity = 1, .shards = 1, .pin_threads = false});
+  auto gate = occupy_only_worker(pool);
+  std::atomic<int> ran{0};
+  ASSERT_TRUE(pool.submit([&] { ++ran; }));  // takes the whole budget
+
+  std::atomic<bool> blocked_submit_returned{false};
+  std::thread producer([&] {
+    EXPECT_TRUE(pool.submit([&] { ++ran; }, SubmitPolicy::Block));
+    blocked_submit_returned = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(blocked_submit_returned.load());  // backpressure is holding it
+
+  gate.set_value();
+  producer.join();
+  pool.wait_idle();
+  EXPECT_TRUE(blocked_submit_returned.load());
+  EXPECT_EQ(ran.load(), 2);
+  EXPECT_EQ(pool.shard_stats()[0].queue_high_water, 1u);
+}
+
+TEST(ShardPool, WaitIdleIsACompletionBarrier) {
+  ShardPool pool({.workers = 4, .queue_capacity = 16, .pin_threads = false});
+  std::atomic<int> done{0};
+  for (int i = 0; i < 32; ++i) {
+    ASSERT_TRUE(pool.submit([&] { ++done; }));
+  }
+  pool.wait_idle();
+  EXPECT_EQ(done.load(), 32);
+  const auto util = pool.worker_utilization();
+  EXPECT_EQ(util.size(), 4u);
+  for (const double u : util) {
+    EXPECT_GE(u, 0.0);
+    EXPECT_LE(u, 1.0);
+  }
+}
+
+TEST(ShardPool, SubmitAfterShutdownReturnsShutDown) {
+  ShardPool pool({.workers = 2, .queue_capacity = 4, .pin_threads = false});
+  auto strand = pool.make_strand();
+  pool.shutdown();
+  EXPECT_EQ(pool.submit_outcome([] {}), SubmitOutcome::ShutDown);
+  EXPECT_EQ(pool.submit_outcome(strand, [] {}), SubmitOutcome::ShutDown);
+}
+
+// A submitter blocked on budget is released by shutdown() with ShutDown,
+// while the job already admitted still runs before the workers join.
+TEST(ShardPool, ShutdownReleasesBlockedSubmitter) {
+  ShardPool pool({.workers = 1, .queue_capacity = 1, .shards = 1, .pin_threads = false});
+  auto gate = occupy_only_worker(pool);
+  std::atomic<int> ran{0};
+  ASSERT_TRUE(pool.submit([&] { ++ran; }));  // takes the whole budget
+
+  SubmitOutcome blocked = SubmitOutcome::Accepted;
+  std::thread producer([&] { blocked = pool.submit_outcome([&] { ++ran; }); });
+  std::thread closer([&] { pool.shutdown(); });  // joins only after the gate opens
+  producer.join();
+  EXPECT_EQ(blocked, SubmitOutcome::ShutDown);
+
+  gate.set_value();
+  closer.join();
+  EXPECT_EQ(ran.load(), 1);
+}
+
+// A budget of 0 could never admit a job: Block would wait until shutdown and
+// Reject would always report QueueFull, so the pool refuses it up front.
+TEST(ShardPool, ZeroQueueCapacityIsRefused) {
+  EXPECT_THROW(ShardPool({.workers = 1, .queue_capacity = 0, .pin_threads = false}),
+               std::invalid_argument);
+  EXPECT_THROW(FrameServer({.workers = 1, .queue_capacity = 0, .pin_threads = false}),
+               std::invalid_argument);
+  // A worker count of 0 is still raised to one worker.
+  ShardPool pool({.workers = 0, .queue_capacity = 1, .pin_threads = false});
+  EXPECT_EQ(pool.worker_count(), 1u);
 }
 
 // A stream's frames must complete in submission order even when the pool has
@@ -155,9 +269,9 @@ TEST(ShardPool, ArenaRecyclesPayloadsAcrossStreamLifetimes) {
   server.wait_idle();
 }
 
-// The 1-shard pool must be behaviorally identical to the pre-shard global
-// queue: same reconstruction bits, same window counts as a direct reentrant
-// engine run, at lossless and lossy thresholds alike.
+// A 1-shard pool must reproduce a direct reentrant engine run: same
+// reconstruction bits, same window counts, at lossless and lossy thresholds
+// alike.
 TEST(ShardPool, SingleShardMatchesDirectEngineBitExactly) {
   for (const int threshold : {0, 2}) {
     const auto config = make_config(40, 40, 8, threshold);
@@ -173,7 +287,7 @@ TEST(ShardPool, SingleShardMatchesDirectEngineBitExactly) {
 
     std::mutex result_mutex;
     std::vector<core::CompressedRunResult> results(4);
-    for (int f = 0; f < 4; ++f) {
+    for (std::size_t f = 0; f < results.size(); ++f) {
       ASSERT_TRUE(server.submit(id, frame, SubmitPolicy::Block, [&, f](FrameResult r) {
         std::unique_lock lock(result_mutex);
         results[f] = {std::move(r.reconstructed), std::move(r.stats)};
@@ -192,7 +306,7 @@ TEST(ShardPool, SingleShardMatchesDirectEngineBitExactly) {
 // TSan-targeted stress mirroring RuntimeStress.ManySmallFramesAcrossEight-
 // Workers on the sharded pool: several producers over strands on forced
 // shards, a stats poller racing the workers (shard_stats + utilization +
-// aggregate queue probes), striped submissions mixed in, and conservation
+// per-stream queue probes), striped submissions mixed in, and conservation
 // asserts at the end. No sleeps, no timing assumptions.
 TEST(ShardPoolStress, SkewedProducersWithLiveStatsPoller) {
   constexpr std::size_t kProducers = 4;
@@ -231,7 +345,7 @@ TEST(ShardPoolStress, SkewedProducersWithLiveStatsPoller) {
           EXPECT_LE(u, 1.0);
         }
       }
-      (void)server.queue_depth();
+      EXPECT_LE(server.queue_depth_for(stream_ids[0]), server.queue_capacity_for(stream_ids[0]));
       std::this_thread::yield();
     }
   });

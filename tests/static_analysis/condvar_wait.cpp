@@ -19,7 +19,7 @@ struct Gate {
 }  // namespace
 
 int probe_condvar_wait(Gate& gate);
-int probe_condvar_wait(Gate& gate) {
+[[maybe_unused]] int probe_condvar_wait(Gate& gate) {
   swc::UniqueLock lock(gate.mutex);
   while (!gate.open) gate.cv.wait(lock);
 #if defined(SWC_NEGCOMP)
