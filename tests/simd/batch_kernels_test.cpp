@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,12 @@
 #include "image/rng.hpp"
 
 namespace swc::simd {
+
+// Print a table parameter by its name, not its address: gtest appends the
+// printed parameter to each test's listed name, and an address would change
+// from run to run.
+void PrintTo(const BatchKernelTable* table, std::ostream* os) { *os << table->name; }
+
 namespace {
 
 std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
